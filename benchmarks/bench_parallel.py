@@ -20,10 +20,12 @@ Prints (and optionally writes) a JSON document::
                 "task_seconds": ..., "speedup": 1.0, ...}, ...]
     }
 
-Speedups are relative to the serial backend.  The process backend rides
-the warm shared-memory pool (:mod:`repro.exec.shm_pool`) and is the fast
-path on multi-core hosts; thread workers overlap only in GIL-releasing
-NumPy kernels.
+Speedups are relative to the serial backend.  The process backend forks
+one child per worker slice of every stage and pipes the task outcomes
+back, so it pays a fork per slice per stage and wins only where stages
+run long enough to amortize that; thread workers overlap only in
+GIL-releasing NumPy kernels.  Rows slower than serial are reported as
+measured (``slower_than_serial``).
 
 **Environment honesty**: speedup numbers are meaningless when the
 process has fewer usable cores than workers.  The document records both

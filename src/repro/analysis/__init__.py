@@ -20,7 +20,6 @@ DET003 unordered-set-iteration no set iteration feeding order without sorted()
 CLK001 wall-clock-discipline   real clock only in exec.task / trace
 CTR001 counter-ledger          counter keys literal + in COUNTER_SCHEMA
 API001 export-integrity        __all__ / lazy _EXPORTS resolve to real attrs
-SHM001 shared-memory-confinement shared_memory only in repro.exec.shm
 ====== ======================= ==============================================
 
 Suppress a deliberate exception with ``# repro: noqa[RULE]`` on the
@@ -46,7 +45,7 @@ from .reporting import render_json, render_text
 
 # Importing the rule modules registers the rule pack (per-file rules
 # first, then the whole-program pack, which depends on the graph engine).
-from . import api, clock, counters, determinism, shm  # noqa: F401  isort: skip
+from . import api, clock, counters, determinism  # noqa: F401  isort: skip
 from . import interproc  # noqa: F401  isort: skip
 from .graph import ProjectGraph, build_graph
 from .interproc import lint_project

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro codebase: determinism "
             "(DET*), clock discipline (CLK*), the counter ledger (CTR*), "
-            "API export integrity (API*), shared-memory confinement (SHM*), "
+            "API export integrity (API*), "
             "and whole-program worker purity / flow rules (WRK001, CTR002, "
             "DET004, API002) over the project call graph."
         ),

@@ -1,8 +1,8 @@
 """Whole-program symbol table and conservative call graph.
 
 The per-file rules in this package see one AST at a time; a wall-clock
-read hidden one call deep inside a helper shipped to the warm worker
-pool is invisible to them.  :class:`ProjectGraph` closes that hole: it
+read hidden one call deep inside a helper shipped to a process worker
+is invisible to them.  :class:`ProjectGraph` closes that hole: it
 parses every module of the linted tree once, builds a symbol table
 (modules, classes, functions — including nested functions and lambdas),
 and then records a *conservative* edge set between functions:
@@ -21,7 +21,7 @@ dispatch sites where callables cross an execution boundary:
 
 * ``_WORKER_ENTRY_POINTS = ("fn", "Class.method", ...)`` — a module-level
   tuple naming functions in that module whose bodies execute inside
-  pool workers (e.g. the warm pool's ``_worker_main`` loop).
+  workers (e.g. the process backend's forked ``_fork_slice``).
 * ``_DISPATCH_POINTS = ("MapReduceJob", "RDD.map", ...)`` — callables
   defined in that module whose *function-valued arguments* are shipped
   to workers.  At every call site of a declared dispatch point, the

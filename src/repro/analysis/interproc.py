@@ -2,7 +2,7 @@
 
 The per-file rules catch a ``time.time()`` written directly inside a
 task body; they cannot catch the same call two helpers deep inside a
-function shipped to the warm worker pool.  These rules can, because they
+function shipped to a process worker.  These rules can, because they
 run over :class:`repro.analysis.graph.ProjectGraph` — every module of
 the linted tree parsed once, with a conservative call graph and the
 worker entry points declared at the dispatch sites themselves.
@@ -12,8 +12,8 @@ code   name                  contract
 ====== ===================== ============================================
 WRK001 worker-purity         code reachable from worker entry points is
                              transitively free of wall-clock reads,
-                             unseeded RNG, mutable module-global writes,
-                             and shared-memory use outside repro.exec.shm
+                             unseeded RNG, and mutable module-global
+                             writes
 CTR002 counter-key-flow      counter-key literals passed through helper
                              parameters into ``counters.add`` sinks must
                              be registered in COUNTER_SCHEMA
@@ -56,7 +56,6 @@ from .graph import (
     _resolve_dotted,
     build_graph,
 )
-from .shm import SHM_WHITELIST, _SHM_CALLS, _SHM_MODULES
 
 # The rule classes are reached through the RULES registry; tests import
 # ProjectContext / WORKER_STATE_WHITELIST directly.  The one supported
@@ -64,17 +63,14 @@ from .shm import SHM_WHITELIST, _SHM_CALLS, _SHM_MODULES
 __all__ = ["lint_project"]
 
 #: Modules allowed to write module-level state from worker-reachable
-#: code: the planes whose *job* is per-process state.  ``repro.exec.shm``
-#: owns the live-segment registry, ``repro.exec.shm_pool`` the worker-side
-#: attach/arena caches, ``repro.exec.task`` the per-task counter swap,
-#: ``repro.trace.core`` the active-session pin, and ``repro.metrics`` the
-#: thread-local counter redirect stack.  Everything else reached from a
-#: worker must treat module globals as read-only — a write would survive
-#: into the next task the warm worker runs and break bit-identical replay.
+#: code: the planes whose *job* is per-process state.  ``repro.exec.task``
+#: owns the per-task counter swap, ``repro.trace.core`` the session
+#: state, and ``repro.metrics`` the thread-local counter redirect stack.
+#: Everything else reached from a worker must treat module globals as
+#: read-only — a write would survive into the next task the same thread
+#: or child runs and break bit-identical replay.
 WORKER_STATE_WHITELIST = frozenset(
     {
-        "repro.exec.shm",
-        "repro.exec.shm_pool",
         "repro.exec.task",
         "repro.trace.core",
         "repro.metrics",
@@ -86,7 +82,6 @@ _KIND_WHITELISTS = {
     "wall-clock read": CLOCK_WHITELIST,
     "unseeded/global RNG": frozenset(),
     "module-global write": WORKER_STATE_WHITELIST,
-    "shared-memory use": SHM_WHITELIST,
 }
 
 #: methods that mutate their receiver in place
@@ -357,15 +352,6 @@ def _collect_primitives(
                             f"{dotted}()",
                         )
                     )
-                if dotted in _SHM_CALLS:
-                    out.append(
-                        Primitive(
-                            "shared-memory use",
-                            node.lineno,
-                            node.col_offset,
-                            f"{dotted}()",
-                        )
-                    )
             if (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATING_METHODS
@@ -417,38 +403,6 @@ def _collect_primitives(
                                 f"write through module-level name {root!r}",
                             )
                         )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in _SHM_MODULES:
-                    out.append(
-                        Primitive(
-                            "shared-memory use",
-                            node.lineno,
-                            node.col_offset,
-                            f"import {alias.name}",
-                        )
-                    )
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            if node.module in _SHM_MODULES:
-                out.append(
-                    Primitive(
-                        "shared-memory use",
-                        node.lineno,
-                        node.col_offset,
-                        f"from {node.module} import ...",
-                    )
-                )
-            elif node.module == "multiprocessing":
-                for alias in node.names:
-                    if f"multiprocessing.{alias.name}" in _SHM_MODULES:
-                        out.append(
-                            Primitive(
-                                "shared-memory use",
-                                node.lineno,
-                                node.col_offset,
-                                f"from multiprocessing import {alias.name}",
-                            )
-                        )
     return sorted(out, key=lambda p: (p.lineno, p.col, p.kind, p.detail))
 
 
@@ -462,8 +416,8 @@ class WorkerPurity(Rule):
     whole_program = True
     description = (
         "function reachable from a worker entry point performs a "
-        "wall-clock read, unseeded RNG draw, module-global write, or "
-        "shared-memory call (transitively; see --why for the call chain)"
+        "wall-clock read, unseeded RNG draw, or module-global write "
+        "(transitively; see --why for the call chain)"
     )
 
     def check_project(self, graph: ProjectGraph, pctx: ProjectContext) -> None:

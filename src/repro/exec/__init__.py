@@ -2,17 +2,12 @@
 
 ``MapReduceJob`` map/reduce attempts and ``RDD`` per-partition stage
 tasks run on a pluggable :class:`ExecutorBackend` (serial, threads, or
-a warm pool of forked processes).  Parallel execution is
-*observationally equivalent* to serial: every task runs against its own
-scratch counters and side channel, and outcomes are merged in
+one forked process per worker slice of each stage).  Parallel execution
+is *observationally equivalent* to serial: every task runs against its
+own scratch counters and side channel, and outcomes are merged in
 task-index order, so result pairs, per-phase counters and failure
 outcomes are bit-identical across backends — only wall-clock time
 changes.
-
-The process path (:mod:`repro.exec.shm_pool` + :mod:`repro.exec.shm`)
-forks its workers once per run and keeps them warm across stages; large
-arrays and ``GeometryBatch`` planes cross process boundaries through
-``multiprocessing.shared_memory`` segments instead of pickle streams.
 """
 
 from .backend import (
@@ -25,8 +20,6 @@ from .backend import (
     resolve_backend,
 )
 from .pool import run_ordered
-from .shm import RESULT_MIN_BYTES, SHARE_MIN_BYTES, ArrayRef, live_segment_names
-from .shm_pool import PoolBrokenError, WarmPool, shutdown_warm_pools
 from .task import TaskOutcome, emit, redirect_counters, run_task
 
 __all__ = [
@@ -42,11 +35,4 @@ __all__ = [
     "emit",
     "redirect_counters",
     "run_task",
-    "WarmPool",
-    "PoolBrokenError",
-    "shutdown_warm_pools",
-    "live_segment_names",
-    "ArrayRef",
-    "SHARE_MIN_BYTES",
-    "RESULT_MIN_BYTES",
 ]

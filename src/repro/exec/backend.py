@@ -8,8 +8,9 @@ Three implementations are provided:
   (the default; zero dependencies, zero overhead beyond the wrapper).
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor``; parallelism is
   bounded by the GIL but NumPy kernels and any releasing code overlap.
-* :class:`ProcessBackend` — a fork-based ``ProcessPoolExecutor`` giving
-  real multi-core execution of the pure-Python geometry/refinement work.
+* :class:`ProcessBackend` — forks one child per worker slice of each
+  stage, giving real multi-core execution of the pure-Python
+  geometry/refinement work.
 
 **Determinism is the design constraint**: every backend runs each task
 against its own scratch :class:`~repro.metrics.Counters` (see
@@ -18,15 +19,11 @@ back in task-index order, so counters, phase records, result ordering
 and failure outcomes are bit-identical across backends.  The backends
 only change wall-clock time, never the simulated run.
 
-:class:`ProcessBackend` dispatches onto a persistent *warm pool*
-(:mod:`repro.exec.shm_pool`): workers fork once and stay alive across
-every stage of a run, each stage crosses the pipes as one broadcast
-payload plus one contiguous index slice per worker, and large arrays /
-``GeometryBatch`` planes travel through ``multiprocessing.shared_memory``
-segments instead of pickle bytes (:mod:`repro.exec.shm`).  On platforms
-without ``fork`` it degrades to threads — loudly: the degradation charges
-the ``exec.backend_fallback`` counter and surfaces a warning on the
-:class:`~repro.systems.base.RunReport`.
+:class:`ProcessBackend` keeps no state between stages: the children
+inherit the stage's task bodies at fork time and pipe their outcomes
+back.  On platforms without ``fork`` it degrades to threads — loudly:
+the degradation charges the ``exec.backend_fallback`` counter and
+surfaces a warning on the :class:`~repro.systems.base.RunReport`.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-import weakref
 from typing import Any, Callable, Sequence
 
 from ..metrics import _REDIRECT, Counters
@@ -51,11 +47,12 @@ __all__ = [
     "BACKENDS",
 ]
 
-#: repro-lint whole-program declaration (WRK001): every function-valued
+#: repro-lint whole-program declarations (WRK001): every function-valued
 #: argument at a ``*.run_tasks(...)`` call site is a task body that may
-#: execute inside a pool worker — everything reachable from it must be
-#: free of wall-clock reads, unseeded RNG, module-global writes, and
-#: out-of-plane shared memory.
+#: execute inside a worker, and ``_fork_slice`` is the forked child's own
+#: body — everything reachable from either must be free of wall-clock
+#: reads, unseeded RNG and module-global writes.
+_WORKER_ENTRY_POINTS = ("_fork_slice",)
 _DISPATCH_POINTS = ("ExecutorBackend.run_tasks",)
 
 
@@ -226,81 +223,48 @@ class ThreadBackend(ExecutorBackend):
                 return [outcome for chunk in chunks for outcome in chunk]
 
 
+def _fork_slice(fns, shared, lo, hi, conn) -> None:
+    """Child side of one :class:`ProcessBackend` slice: run tasks
+    ``lo..hi-1`` against the fork-time snapshot of the driver state and
+    send their outcomes back over *conn*."""
+    conn.send([run_task(i, fns[i], shared) for i in range(lo, hi)])
+    conn.close()
+
+
 class ProcessBackend(ExecutorBackend):
-    """Warm-pool multi-process backend: real multi-core execution.
+    """Fork-per-stage multi-process backend: real multi-core execution.
 
-    Stages dispatch onto a persistent pool of forked workers
-    (:class:`~repro.exec.shm_pool.WarmPool`) that stays alive for the
-    backend's whole lifetime — fork cost is paid once per run, not once
-    per stage — and each worker receives one contiguous task-index slice
-    per stage, mirroring :class:`ThreadBackend`'s dispatch geometry.
+    Each stage forks one child per :func:`_even_slices` slice, the same
+    dispatch geometry as :class:`ThreadBackend`.  A child inherits the
+    task bodies, the shared counters and the trace session state at fork
+    time — they travel as process arguments, never through a module
+    global, so concurrent stages (a service running queries on several
+    dispatcher threads) cannot see each other's state.  Only the
+    :class:`~repro.exec.task.TaskOutcome` list crosses back, pickled over
+    a pipe; ``GeometryBatch`` results pickle as their six arrays.
 
-    Data crosses process boundaries zero-copy where it counts: large
-    arrays and :class:`~repro.geometry.batch.GeometryBatch` planes map
-    into ``multiprocessing.shared_memory`` segments, immutable HDFS
-    blocks ship once per pool lifetime, and result ndarrays return
-    through preallocated shared arenas (:mod:`repro.exec.shm`).
-
-    The pool itself lives in a module registry under an integer
-    *pool key* — never on the backend instance, which must stay
-    picklable inside shipped task closures.  A backend that owns its key
-    releases the pool when it is garbage-collected; a service can pass a
-    shared *pool_key* so many backends (one per query environment) reuse
-    one warm pool, releasing it at ``service.close()``.
-
-    Where ``fork`` is missing the backend degrades to
-    :class:`ThreadBackend` semantics — charging ``exec.backend_fallback``
-    once and recording a warning surfaced on the run's ``RunReport``.
+    A child that dies without sending (a crash, ``os._exit``) makes the
+    stage raise a :class:`RuntimeError`; every child is joined before the
+    call returns, so nothing outlives the stage.  Where ``fork`` is
+    missing the backend degrades to :class:`ThreadBackend` semantics,
+    charging ``exec.backend_fallback`` once and recording a warning
+    surfaced on the run's ``RunReport``.
     """
 
     name = "process"
 
-    def __init__(self, workers: int = 1, pool_key: "int | None" = None):
+    def __init__(self, workers: int = 1):
         super().__init__(workers)
-        self._owns_pool = pool_key is None
-        self._pool_key = pool_key
         self._fallback_noted = False
         #: warning strings surfaced on RunReport.warnings by the systems.
         self.warnings: tuple = ()
 
     @staticmethod
     def available() -> bool:
-        """Whether this platform supports fork-based process pools."""
+        """Whether this platform supports the fork start method."""
         return hasattr(os, "fork") and (
             "fork" in multiprocessing.get_all_start_methods()
         )
-
-    def _key(self) -> int:
-        from . import shm_pool
-
-        if self._pool_key is None:
-            self._pool_key = shm_pool.reserve_key()
-            # Release the pool when the owning backend dies.  The pid
-            # guard keeps by-value copies of this backend unpickled in
-            # workers from tearing down the driver's live pool.
-            weakref.finalize(
-                self, shm_pool.release_pool, self._pool_key, os.getpid()
-            )
-        return self._pool_key
-
-    def close(self) -> None:
-        """Release the owned warm pool (idempotent; no-op when shared)."""
-        from . import shm_pool
-
-        if self._owns_pool and self._pool_key is not None:
-            shm_pool.release_pool(self._pool_key, os.getpid())
-            self._pool_key = None
-
-    def warm_up(self) -> None:
-        """Fork the workers now (from the calling thread).
-
-        Services call this from the main thread at construction so the
-        fork never happens on a dispatcher thread mid-query.
-        """
-        from . import shm_pool
-
-        if self.available():
-            shm_pool.get_pool(self._key(), self.workers)
 
     def _note_fallback(self, shared: Counters) -> None:
         if not self._fallback_noted:
@@ -315,11 +279,38 @@ class ProcessBackend(ExecutorBackend):
         if not self.available():  # pragma: no cover - non-POSIX fallback
             self._note_fallback(shared)
             return ThreadBackend(self.workers)._execute(fns, shared)
-        from . import shm_pool
-
-        pool = shm_pool.get_pool(self._key(), self.workers)
-        slices = _even_slices(len(fns), self.workers)
-        return pool.run_stage(fns, shared, slices)
+        ctx = multiprocessing.get_context("fork")
+        children = []
+        try:
+            for lo, hi in _even_slices(len(fns), self.workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_fork_slice, args=(fns, shared, lo, hi, send),
+                    daemon=True,
+                )
+                proc.start()
+                send.close()  # so a child that dies reads as EOF here
+                children.append((proc, recv))
+            outcomes = []
+            for w, (proc, recv) in enumerate(children):
+                try:
+                    outcomes.extend(recv.recv())
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"process worker {w} exited (code {proc.exitcode}) "
+                        "without sending its task outcomes"
+                    ) from None
+            return outcomes
+        except BaseException:
+            # A sibling blocked on a full pipe would never exit by itself.
+            for proc, _ in children:
+                proc.terminate()
+            raise
+        finally:
+            for proc, recv in children:
+                proc.join()
+                recv.close()
 
 
 BACKENDS = {

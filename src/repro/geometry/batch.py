@@ -459,48 +459,6 @@ class GeometryBatch:
             ),
         )
 
-    # -------------------------------------------------------- shared memory
-    def attach_shared(self, registry) -> tuple:
-        """Publish the six array planes through a shared-memory registry.
-
-        *registry* is duck-typed (``share(arr) -> ref | None``; in
-        practice :class:`repro.exec.shm.ShmRegistry`) so the geometry
-        package never imports the execution layer.  Each plane becomes
-        either a segment reference — workers map the bytes instead of
-        unpickling them — or, when the registry declines (tiny or
-        object-dtype planes), the array itself.  The registry owns the
-        segments and their cleanup; batches built from them are views.
-        """
-        planes = (
-            self.kinds,
-            self.coords,
-            self.ring_offsets,
-            self.geom_rings,
-            self.ids,
-            self.mbrs.data,
-        )
-        refs = []
-        for plane in planes:
-            ref = registry.share(plane)
-            refs.append(plane if ref is None else ref)
-        return tuple(refs)
-
-    @staticmethod
-    def from_shared(refs, attach) -> "GeometryBatch":
-        """Rebuild a batch from :meth:`attach_shared` plane refs.
-
-        *attach* resolves one ref to an ndarray (mapping the shared
-        segment read-only); plain arrays pass through.  The rebuilt
-        batch's planes are zero-copy views over the shared segments —
-        immutable by construction, matching the batch contract.
-        """
-        kinds, coords, ring_offsets, geom_rings, ids, mbr_data = (
-            attach(ref) for ref in refs
-        )
-        return _rebuild_batch(
-            kinds, coords, ring_offsets, geom_rings, ids, mbr_data
-        )
-
 
 def _rebuild_batch(kinds, coords, ring_offsets, geom_rings, ids, mbr_data):
     return GeometryBatch(

@@ -232,21 +232,9 @@ class SpatialQueryService:
         self.seed = DEFAULT_SEED if seed is None else seed
         self.cost_params = cost_params
         #: intra-query parallelism: every prepare/query environment runs
-        #: its stages on this many workers.  With the process backend all
-        #: environments share ONE warm pool (forked here, in the calling
-        #: thread, never on a dispatcher thread mid-query) so queries pay
-        #: no per-query fork cost.
+        #: its stages on this many workers.
         self.workers = max(1, int(workers))
         self.backend = backend
-        self._pool_key: Optional[int] = None
-        if self.workers > 1 and backend in (None, "process"):
-            from ..exec.backend import ProcessBackend
-
-            if ProcessBackend.available():
-                from ..exec import shm_pool
-
-                self._pool_key = shm_pool.reserve_key()
-                shm_pool.get_pool(self._pool_key, self.workers)
         #: the service ledger: every prepare's and query's counters merge
         #: here (in submission order), plus the service.* lifecycle keys.
         self.counters = Counters()
@@ -283,8 +271,7 @@ class SpatialQueryService:
         self.close()
 
     def close(self) -> None:
-        """End the service session (idempotent); finalize the trace and
-        release the shared warm worker pool."""
+        """End the service session (idempotent); finalize the trace."""
         if self._closed:
             return
         self._closed = True
@@ -293,13 +280,6 @@ class SpatialQueryService:
             self.trace_root = self._tracer.root
             self._session = None
             self._root = None
-        if self._pool_key is not None:
-            import os
-
-            from ..exec import shm_pool
-
-            shm_pool.release_pool(self._pool_key, os.getpid())
-            self._pool_key = None
 
     def _check_open(self) -> None:
         if self._closed:
@@ -428,17 +408,10 @@ class SpatialQueryService:
     ) -> RunEnvironment:
         """A private environment, optionally with prepared files
         installed by reference.  Each environment gets its own executor
-        (profile rows must not interleave across concurrent queries), but
-        process executors share the service's single warm pool through
-        its pool key — queries never pay a fork."""
-        backend = self.backend
-        if self._pool_key is not None:
-            from ..exec.backend import ProcessBackend
-
-            backend = ProcessBackend(self.workers, pool_key=self._pool_key)
+        (profile rows must not interleave across concurrent queries)."""
         env = RunEnvironment.create(
             self.cluster, block_size=self.block_size, seed=self.seed,
-            workers=self.workers, backend=backend,
+            workers=self.workers, backend=self.backend,
         )
         preps = [p for p in (prep_a, prep_b) if p is not None]
         if preps:

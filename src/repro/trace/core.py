@@ -132,20 +132,6 @@ def active() -> bool:
     return _ACTIVE_SESSIONS > 0
 
 
-def set_worker_session(on: bool) -> None:
-    """Force this process's session state (warm pool workers only).
-
-    Warm workers fork once and outlive any single run, so the fork-time
-    snapshot of ``_ACTIVE_SESSIONS`` goes stale: the driver ships the
-    current :func:`active` flag with every stage and the worker pins its
-    own state to match before running tasks.  Never call this in the
-    driver process — it would clobber live Tracer sessions.
-    """
-    global _ACTIVE_SESSIONS
-    with _SESSION_LOCK:
-        _ACTIVE_SESSIONS = 1 if on else 0
-
-
 def _stack() -> list:
     stack = getattr(_TLS, "stack", None)
     if stack is None:

@@ -141,7 +141,6 @@ class TestCli:
             "CLK001",
             "CTR001",
             "API001",
-            "SHM001",
             "WRK001",
             "CTR002",
             "DET004",
@@ -169,7 +168,6 @@ class TestRegistry:
             "CLK001",
             "CTR001",
             "API001",
-            "SHM001",
             "WRK001",
             "CTR002",
             "DET004",

@@ -106,26 +106,6 @@ class TestWorkerPurity:
             for step in f.trace:
                 assert step in out
 
-    def test_shared_memory_import_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "pkg/work.py": """
-                _WORKER_ENTRY_POINTS = ("worker_main",)
-
-
-                def helper():
-                    from multiprocessing import shared_memory
-
-                    return shared_memory
-
-
-                def worker_main(task):
-                    return helper()
-            """,
-        })
-        findings = run(root, "WRK001")
-        assert len(findings) == 1
-        assert "shared-memory use" in findings[0].message
-
     def test_noqa_suppresses(self, tmp_path):
         root = write_tree(tmp_path, {
             "pkg/work.py": """

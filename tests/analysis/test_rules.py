@@ -384,66 +384,6 @@ class TestAPI001ExportIntegrity:
         assert lint_paths([pkg]) == []
 
 
-class TestSHM001SharedMemoryConfinement:
-    def test_direct_import_flagged(self):
-        src = """
-            import multiprocessing.shared_memory
-        """
-        assert codes(src) == ["SHM001"]
-
-    def test_from_import_flagged(self):
-        src = """
-            from multiprocessing.shared_memory import SharedMemory
-        """
-        assert codes(src) == ["SHM001"]
-        src = """
-            from multiprocessing import shared_memory
-        """
-        assert codes(src) == ["SHM001"]
-
-    def test_resource_tracker_flagged(self):
-        src = """
-            from multiprocessing import resource_tracker
-        """
-        assert codes(src) == ["SHM001"]
-
-    def test_resolved_call_flagged(self):
-        src = """
-            from multiprocessing.shared_memory import SharedMemory
-            seg = SharedMemory(create=True, size=4096)
-        """
-        assert codes(src) == ["SHM001", "SHM001"]
-
-    def test_whitelisted_module_is_clean(self):
-        src = """
-            from multiprocessing.shared_memory import SharedMemory
-            seg = SharedMemory(create=True, size=4096)
-        """
-        assert codes(src, module="repro.exec.shm") == []
-
-    def test_pool_module_goes_through_the_plane(self):
-        # shm_pool is NOT whitelisted: it must use repro.exec.shm's
-        # abstractions, never raw SharedMemory.
-        src = """
-            from multiprocessing.shared_memory import SharedMemory
-        """
-        assert codes(src, module="repro.exec.shm_pool") == ["SHM001"]
-
-    def test_relative_import_is_clean(self):
-        assert codes("from . import shared_memory\n") == []
-
-    def test_noqa(self):
-        src = "import multiprocessing.shared_memory  # repro: noqa[SHM001]\n"
-        assert codes(src) == []
-
-    def test_plain_multiprocessing_is_clean(self):
-        src = """
-            import multiprocessing
-            ctx = multiprocessing.get_context("fork")
-        """
-        assert codes(src) == []
-
-
 class TestFrameworkMechanics:
     def test_bare_noqa_suppresses_all_rules(self):
         src = "table[id(x)] = list({1, 2})  # repro: noqa\n"

@@ -2,11 +2,21 @@
 
 The contract under test: *any* backend produces bit-identical shared
 counters, result ordering, side outputs and failure behaviour — only
-wall-clock time may differ.
+wall-clock time may differ.  The process backend also has edges of its
+own: a worker that dies mid-stage, a platform without ``fork`` (the
+backend must degrade loudly), and whole joins whose trace fingerprints
+and ledgers must equal serial.
 """
 
+import multiprocessing
+import os
+import threading
+
+import numpy as np
 import pytest
 
+from repro import spatial_join
+from repro.data import census_blocks, taxi_points
 from repro.exec import (
     BACKENDS,
     ProcessBackend,
@@ -17,13 +27,17 @@ from repro.exec import (
     resolve_backend,
     run_task,
 )
+from repro.geometry import GeometryBatch, Point
 from repro.metrics import Counters
 
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(4), ProcessBackend(4)]
+# process-2 runs two children per stage: the error test's failing task
+# (index 3 of 6) opens the second child's slice.
+ALL_BACKENDS = [SerialBackend(), ThreadBackend(4), ProcessBackend(4), ProcessBackend(2)]
+BACKEND_IDS = ["serial", "thread", "process", "process-2"]
 
-
-def backend_ids(backend):
-    return backend.name
+requires_fork = pytest.mark.skipif(
+    not ProcessBackend.available(), reason="requires fork"
+)
 
 
 def make_tasks(shared, n=8):
@@ -144,7 +158,7 @@ class TestMergeOutcomes:
         assert side == {"k": [0, 1, 2, 3]}
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS, ids=backend_ids)
+@pytest.mark.parametrize("backend", ALL_BACKENDS, ids=BACKEND_IDS)
 class TestBackendEquivalence:
     def test_results_and_counters_identical_to_serial(self, backend):
         shared = Counters()
@@ -166,6 +180,9 @@ class TestBackendEquivalence:
             return body
 
         outcomes = backend.run_tasks("stage", [make(i) for i in range(6)], shared)
+        # A task error is data, not breakage: it rides in its outcome.
+        assert [o.index for o in outcomes] == list(range(len(outcomes)))
+        assert [o.index for o in outcomes if o.error is not None] == [3]
         with pytest.raises(ValueError, match="task 3 died"):
             merge_outcomes(outcomes, shared)
         # Tasks 0..3 merged; parallel backends may have *run* later tasks,
@@ -230,3 +247,127 @@ class TestResolveBackend:
 
     def test_serial_forces_one_worker(self):
         assert SerialBackend(8).workers == 1
+
+
+@requires_fork
+class TestProcessWorkers:
+    def test_batch_crosses_the_process_boundary(self):
+        # Children inherit a driver batch at fork time and pickle the
+        # batches they return as six arrays; both directions are exact.
+        batch = GeometryBatch.from_geometries(
+            [Point(x, 2 * x) for x in np.linspace(-5.0, 5.0, 4096)]
+        )
+
+        def inspect(b=batch):
+            return len(b), b.slice(0, len(b))
+
+        shared = Counters()
+        outcomes = ProcessBackend(2).run_tasks("inspect", [inspect, inspect], shared)
+        results, _ = merge_outcomes(outcomes, shared)
+        for length, clone in results:
+            assert length == len(batch)
+            assert clone.coords.tobytes() == batch.coords.tobytes()
+            assert clone.equals(batch)
+
+    # Slices are (0, 2) and (2, 3): the dead task is in the first child
+    # (its sibling must still be reaped) or in the last one.
+    @pytest.mark.parametrize("dead", [0, 2])
+    def test_dead_worker_raises_and_backend_recovers(self, dead):
+        backend = ProcessBackend(2)
+        shared = Counters()
+
+        def die():
+            os._exit(13)  # a worker crash mid-stage: no outcome is sent
+
+        tasks = [lambda: 1, lambda: 2, lambda: 3]
+        tasks[dead] = die
+        caught = []
+
+        def crash_stage():
+            try:
+                backend.run_tasks("crash", tasks, shared)
+            except RuntimeError as err:
+                caught.append(err)
+
+        runner = threading.Thread(target=crash_stage, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "stage hung after a worker died"
+        assert len(caught) == 1
+        assert "exited (code 13)" in str(caught[0])
+        assert multiprocessing.active_children() == []
+
+        # Nothing outlives a stage, so the next one starts clean.
+        outcomes = backend.run_tasks("next", make_tasks(shared, 4), shared)
+        results, _ = merge_outcomes(outcomes, shared)
+        assert results == [0, 10, 20, 30]
+
+
+class TestFallback:
+    def test_no_fork_degrades_to_threads_loudly(self, monkeypatch):
+        monkeypatch.setattr(
+            ProcessBackend, "available", staticmethod(lambda: False)
+        )
+        report = spatial_join(
+            taxi_points(200, seed=31),
+            census_blocks(30, seed=32),
+            system="SpatialHadoop",
+            workers=3,
+            backend="process",
+        )
+        assert report.ok
+        assert report.counters.get("exec.backend_fallback") == 1.0
+        assert report.warnings
+        assert any("fallback" in w or "thread" in w for w in report.warnings)
+
+    def test_fallback_charged_once_per_backend(self, monkeypatch):
+        monkeypatch.setattr(
+            ProcessBackend, "available", staticmethod(lambda: False)
+        )
+        backend = ProcessBackend(2)
+        shared = Counters()
+        backend.run_tasks("a", make_tasks(shared), shared)
+        backend.run_tasks("b", make_tasks(shared), shared)
+        assert shared.get("exec.backend_fallback") == 1.0
+        assert len(backend.warnings) == 1
+
+    @requires_fork
+    def test_healthy_backend_never_charges_fallback(self):
+        backend = ProcessBackend(2)
+        shared = Counters()
+        backend.run_tasks("a", make_tasks(shared), shared)
+        assert shared.get("exec.backend_fallback") is None
+        assert backend.warnings == ()
+
+
+@requires_fork
+class TestProcessDeterminism:
+    def run(self, backend, trace=True):
+        return spatial_join(
+            taxi_points(400, seed=21),
+            census_blocks(50, seed=22),
+            system="SpatialHadoop",
+            workers=1 if backend == "serial" else 3,
+            backend=backend,
+            seed=5,
+            trace=trace,
+        )
+
+    def test_fingerprints_and_ledgers_match_serial(self):
+        serial = self.run("serial")
+        # Two consecutive process runs: each stage forks afresh, so the
+        # second must not depend on anything the first left behind.
+        for forked in (self.run("process"), self.run("process")):
+            assert forked.pairs == serial.pairs
+            assert dict(forked.counters) == dict(serial.counters)
+            assert forked.trace.fingerprint() == serial.trace.fingerprint()
+
+    def test_untraced_then_traced_runs_stay_correct(self):
+        # Children inherit the trace session state at fork time;
+        # interleaving traced and untraced runs must not bleed state.
+        quiet = self.run("process", trace=False)
+        traced = self.run("process", trace=True)
+        serial = self.run("serial", trace=True)
+        assert quiet.trace is None
+        assert quiet.pairs == serial.pairs
+        assert traced.trace.fingerprint() == serial.trace.fingerprint()

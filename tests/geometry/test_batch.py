@@ -57,6 +57,21 @@ def geometries(draw):
     return Polygon([(cx + r * np.cos(a), cy + r * np.sin(a)) for a in angles])
 
 
+def assert_planes_bit_identical(got, want):
+    """All six array planes equal in dtype, shape and bytes."""
+    for a, b in (
+        (got.kinds, want.kinds),
+        (got.coords, want.coords),
+        (got.ring_offsets, want.ring_offsets),
+        (got.geom_rings, want.geom_rings),
+        (got.ids, want.ids),
+        (got.mbrs.data, want.mbrs.data),
+    ):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def mixed_dataset():
     return (
         taxi_points(40, seed=1)
@@ -197,6 +212,31 @@ class TestPickle:
         list(batch)  # fill the lazy object cache
         payload = pickle.dumps(batch)
         assert b"Polygon" not in payload and b"primitives" not in payload
+
+    # Pickling is how a batch crosses into and out of a process-backend
+    # worker, so every plane must survive it bit for bit.
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(geometries(), min_size=0, max_size=25))
+    def test_any_batch_pickles_bit_identically(self, geoms):
+        batch = GeometryBatch.from_geometries(geoms)
+        clone = pickle.loads(pickle.dumps(batch))
+        assert_planes_bit_identical(clone, batch)
+        assert clone.to_geometries() == geoms
+
+    def test_empty_batch_pickles(self):
+        clone = pickle.loads(pickle.dumps(GeometryBatch.empty()))
+        assert_planes_bit_identical(clone, GeometryBatch.empty())
+        assert len(clone) == 0
+
+    def test_degenerate_rings_pickle(self):
+        # Zero-area polygon (all vertices collinear) and a zero-length
+        # polyline segment: shape/dtype edge cases, not validity checks.
+        batch = GeometryBatch.from_geometries([
+            Polygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+            PolyLine([(5.0, 5.0), (5.0, 5.0)]),
+            Point(-0.0, 0.0),
+        ])
+        assert_planes_bit_identical(pickle.loads(pickle.dumps(batch)), batch)
 
 
 class TestReshaping:

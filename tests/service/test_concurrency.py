@@ -11,6 +11,7 @@ is unspecified; totals stay deterministic and are covered separately).
 import pytest
 
 from repro.data.synthetic import census_blocks, taxi_points
+from repro.exec import ProcessBackend
 from repro.service import Query, SpatialQueryService
 
 SEED = 7
@@ -125,3 +126,47 @@ class TestCacheTotalsUnderConcurrency:
                 assert svc.counters["service.cache.misses"] == 1
                 assert svc.counters["service.cache.hits"] == 15
                 assert len({r.pairs for r in reports}) == 1
+
+
+@pytest.mark.skipif(not ProcessBackend.available(), reason="requires fork")
+class TestProcessBackendUnderConcurrency:
+    """Concurrent queries each fork their own stage children.
+
+    Every stage hands its task bodies to its children as process
+    arguments; state shared through a module global would be overwritten
+    by whichever query forked last.  Fresh radii keep every query a
+    distinct execution, so 18 of them at concurrency 8 put several
+    stages in flight at once.
+    """
+
+    SYSTEMS = ("HadoopGIS", "SpatialHadoop", "SpatialSpark")
+
+    def run_served(self, workers, concurrency):
+        svc = SpatialQueryService(
+            cluster="WS", seed=SEED, cache_entries=0,
+            workers=workers, backend="process" if workers > 1 else None,
+        )
+        with svc:
+            queries = []
+            for s, system in enumerate(self.SYSTEMS):
+                a = svc.prepare(
+                    taxi_points(300, seed=11), system=system, roles=("a",)
+                )
+                b = svc.prepare(
+                    census_blocks(40, seed=12), system=system, roles=("b",)
+                )
+                for i in range(6):
+                    radius = 0.002 + 0.001 * (6 * s + i)
+                    queries.append(
+                        Query("join", a, b, predicate=f"within_distance:{radius}")
+                    )
+            results = svc.execute(queries, concurrency=concurrency)
+            return [result_view(r) for r in results], dict(svc.counters)
+
+    def test_pairs_and_ledger_match_serial(self):
+        serial_views, serial_ledger = self.run_served(workers=1, concurrency=1)
+        views, ledger = self.run_served(workers=2, concurrency=8)
+        assert len(views) == 18
+        assert all(view[1] == "ok" for view in views)
+        assert views == serial_views
+        assert ledger == serial_ledger
