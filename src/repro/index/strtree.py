@@ -206,6 +206,12 @@ class STRtree:
         frontier size at every level below the root plus the item-level
         frontier size, and within each query item ids keep the same
         (ascending-position) order.
+
+        The working set is every live (query, entry) pair of one level,
+        so it grows with the number of queries times the entries each
+        query's box expands to — at the item level, the leaf entries of
+        every leaf the box reaches.  Callers probing many boxes should
+        pass them in bounded slices rather than all at once.
         """
         n_q = len(boxes)
         empty = np.empty(0, dtype=np.int64)

@@ -59,6 +59,12 @@ from .base import RunEnvironment, RunReport, SpatialJoinSystem
 
 __all__ = ["SpatialSpark"]
 
+#: Left records per broadcast-probe slice.  Each slice is one
+#: ``query_many`` traversal and one grouped refine; the traversal's
+#: working set grows with slice rows x expanded tree entries, so the
+#: slice is bounded instead of spanning a whole RDD partition.
+_PROBE_ROWS = 64
+
 
 class SpatialSpark(SpatialJoinSystem):
     """The SpatialSpark pipeline on the simulated substrates."""
@@ -383,7 +389,8 @@ class SpatialSpark(SpatialJoinSystem):
         right_records,
     ) -> set:
         """The early SpatialSpark design of [6]: broadcast the full right
-        side (data + index) and join each left item directly against it.
+        side (data + index) and join the left items directly against it,
+        a bounded slice of ``_PROBE_ROWS`` records at a time.
 
         Scales only while the right side fits in every executor — the
         trade-off the paper defers to future work and our ablation bench
@@ -409,24 +416,36 @@ class SpatialSpark(SpatialJoinSystem):
             rb, bb = env.scale_b
             logical_payload = int(right_bytes * bb + 40 * len(right) * rb)
             bcast = sc.broadcast((tree, right), nbytes=logical_payload)
+            right_geoms = [r.geometry for r in right]
+            left_boxes = left_records.mbrs.data
+            margin = np.array([-1.0, -1.0, 1.0, 1.0]) * predicate.filter_margin
 
-            def probe(rec: SpatialRecord):
+            def probe(part):
+                # Slice by slice: one batched tree traversal and one grouped
+                # refine per slice.  Parsed rids are positional, so the probe
+                # boxes come straight out of the batch's cached MBRs.
                 btree, brecs = bcast.value
-                candidates = [
-                    (0, int(j))
-                    for j in btree.query(predicate.expand(rec.geometry.mbr))
-                ]
-                refined = refine_candidates(
-                    [rec.geometry],
-                    [r.geometry for r in brecs],
-                    candidates,
-                    engine,
-                    predicate,
-                )
-                for _i, j in refined:
-                    yield (rec.rid, brecs[j].rid)
+                n_candidates = n_refined = 0
+                for start in range(0, len(part), _PROBE_ROWS):
+                    recs = part[start:start + _PROBE_ROWS]
+                    rids = np.fromiter(
+                        (r.rid for r in recs), dtype=np.int64, count=len(recs)
+                    )
+                    hits = btree.query_many(MBRArray(left_boxes[rids] + margin))
+                    candidates = [
+                        (i, j) for i, h in enumerate(hits) for j in h.tolist()
+                    ]
+                    refined = refine_candidates(
+                        [r.geometry for r in recs], right_geoms, candidates,
+                        engine, predicate,
+                    )
+                    n_candidates += len(candidates)
+                    n_refined += len(refined)
+                    for i, j in refined:
+                        yield (recs[i].rid, brecs[j].rid)
+                annotate(candidates=n_candidates, refined=n_refined)
 
-            pairs = set(left_rdd.flatMap(probe).collect())
+            pairs = set(left_rdd.mapPartitions(probe).collect())
         return pairs
 
     # ------------------------------------------------------------ stage map

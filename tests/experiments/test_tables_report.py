@@ -5,6 +5,8 @@ assertions here are the coarse ones that hold at any scale (fine-grained
 shape checks live in the benchmarks, which run at the calibrated scale).
 """
 
+import importlib
+
 import pytest
 
 from repro.experiments import (
@@ -106,7 +108,20 @@ class TestHeadlines:
 
 
 class TestReport:
-    def test_markdown_structure(self):
+    def test_markdown_structure(self, t2, t3, monkeypatch):
+        # The report renders the same tables the module fixtures already
+        # built with the same arguments; hand those over instead of
+        # rebuilding both.
+        report_module = importlib.import_module("repro.experiments.report")
+
+        def reuse(built):
+            def stand_in(*, exec_records, seed):
+                assert exec_records == SMALL and seed == 2
+                return built
+            return stand_in
+
+        monkeypatch.setattr(report_module, "table2", reuse(t2))
+        monkeypatch.setattr(report_module, "table3", reuse(t3))
         text = generate_report(exec_records=SMALL, seed=2)
         assert text.startswith("# Reproduction report")
         for section in ("## Table 1", "## Table 2", "## Table 3",
