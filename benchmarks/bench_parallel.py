@@ -23,9 +23,8 @@ Prints (and optionally writes) a JSON document::
 Speedups are relative to the serial backend.  The process backend forks
 one child per worker slice of every stage and pipes the task outcomes
 back, so it pays a fork per slice per stage and wins only where stages
-run long enough to amortize that; thread workers overlap only in
-GIL-releasing NumPy kernels.  Rows slower than serial are reported as
-measured (``slower_than_serial``).
+run long enough to amortize that.  Rows slower than serial are reported
+as measured (``slower_than_serial``).
 
 **Environment honesty**: speedup numbers are meaningless when the
 process has fewer usable cores than workers.  The document records both
@@ -52,7 +51,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: (backend, workers) grid; serial first so speedups have a baseline.
 GRID = [
     ("serial", 1),
-    ("thread", 4),
     ("process", 2),
     ("process", 4),
 ]

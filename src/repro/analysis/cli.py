@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .baseline import Baseline
-from .cache import DEFAULT_CACHE, LintCache, lint_paths_cached
 from .core import RULES, LintSession, iter_python_files, lint_paths
 from .reporting import render_github, render_json, render_text
 
@@ -101,20 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "the finding exists, 1 otherwise"
         ),
     )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help=(
-            "incremental cache file keyed by content SHA "
-            f"(default: ./{DEFAULT_CACHE})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="lint every file from scratch; do not read or write the cache",
-    )
     return parser
 
 
@@ -178,16 +163,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.no_cache:
-        findings = lint_paths(paths, session=session)
-    else:
-        cache = LintCache.load(args.cache or Path(DEFAULT_CACHE), session)
-        findings = lint_paths_cached(paths, session=session, cache=cache)
-        cache.save()
+    findings = lint_paths(paths, session=session)
 
     if args.graph_dump is not None:
         if session.graph is None:
-            # Project phase served from cache (or disabled): build fresh.
+            # --select left no whole-program rule, so no graph was built.
             from .graph import build_graph
 
             session.graph = build_graph(iter_python_files(paths))

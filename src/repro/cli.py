@@ -28,7 +28,7 @@ def _add_worker_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="task-execution workers (1 = serial)")
     p.add_argument("--backend", default=None,
-                   choices=("serial", "thread", "process"),
+                   choices=("serial", "process"),
                    help="force a task execution backend "
                         "(default: auto from --workers)")
 

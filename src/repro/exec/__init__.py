@@ -1,8 +1,8 @@
 """Multi-core task execution backends for the simulated substrates.
 
 ``MapReduceJob`` map/reduce attempts and ``RDD`` per-partition stage
-tasks run on a pluggable :class:`ExecutorBackend` (serial, threads, or
-one forked process per worker slice of each stage).  Parallel execution
+tasks run on a pluggable :class:`ExecutorBackend` (serial, or one
+forked process per worker slice of each stage).  Parallel execution
 is *observationally equivalent* to serial: every task runs against its
 own scratch counters and side channel, and outcomes are merged in
 task-index order, so result pairs, per-phase counters and failure
@@ -15,7 +15,6 @@ from .backend import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     merge_outcomes,
     resolve_backend,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "run_ordered",
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "resolve_backend",

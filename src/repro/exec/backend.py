@@ -2,12 +2,10 @@
 
 The substrates (``MapReduceJob``, ``RDD``) hand their independent task
 bodies to an :class:`ExecutorBackend` instead of looping over them.
-Three implementations are provided:
+Two implementations are provided:
 
 * :class:`SerialBackend` — runs tasks one by one in the calling thread
   (the default; zero dependencies, zero overhead beyond the wrapper).
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor``; parallelism is
-  bounded by the GIL but NumPy kernels and any releasing code overlap.
 * :class:`ProcessBackend` — forks one child per worker slice of each
   stage, giving real multi-core execution of the pure-Python
   geometry/refinement work.
@@ -21,14 +19,13 @@ only change wall-clock time, never the simulated run.
 
 :class:`ProcessBackend` keeps no state between stages: the children
 inherit the stage's task bodies at fork time and pipe their outcomes
-back.  On platforms without ``fork`` it degrades to threads — loudly:
+back.  On platforms without ``fork`` it degrades to serial — loudly:
 the degradation charges the ``exec.backend_fallback`` counter and
 surfaces a warning on the :class:`~repro.systems.base.RunReport`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
 from typing import Any, Callable, Sequence
@@ -40,7 +37,6 @@ from .task import TaskOutcome, run_task
 __all__ = [
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "merge_outcomes",
@@ -58,8 +54,7 @@ _DISPATCH_POINTS = ("ExecutorBackend.run_tasks",)
 
 def _even_slices(n: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` task-index slices, sized as evenly as
-    possible — the common dispatch geometry of the thread and process
-    backends (identical slicing keeps their stage shapes comparable)."""
+    possible — one per :class:`ProcessBackend` child of a stage."""
     workers = min(workers, n)
     base, extra = divmod(n, workers)
     slices = []
@@ -185,44 +180,6 @@ class SerialBackend(ExecutorBackend):
         return self._serial(fns, shared)
 
 
-class ThreadBackend(ExecutorBackend):
-    """``ThreadPoolExecutor``-based backend (GIL-bounded concurrency).
-
-    Tasks are dispatched as one contiguous index slice per worker (not
-    one future per task), so pool overhead is paid ``workers`` times per
-    stage instead of ``tasks`` times.  Each slice runs its tasks serially
-    in one thread and outcomes are flattened back in task-index order, so
-    the merged counters and results stay bit-identical to serial.
-
-    Pure-Python task bodies still serialize on the GIL — on such
-    workloads this backend is a portability fallback (expect ~1× or
-    slightly below serial), and real speedup requires the fork-based
-    :class:`ProcessBackend`.  Only NumPy kernels and other GIL-releasing
-    sections genuinely overlap.
-    """
-
-    name = "thread"
-
-    def _execute(self, fns, shared):
-        from ..geometry.kernels import parallel_chunk_scope
-
-        workers = min(self.workers, len(fns))
-        slices = _even_slices(len(fns), workers)
-
-        def run_slice(bounds):
-            lo, hi = bounds
-            return [run_task(i, fns[i], shared) for i in range(lo, hi)]
-
-        # Larger CSR kernel chunks while slices run concurrently: keeps
-        # each thread inside NumPy's GIL-releasing loops for longer.
-        with parallel_chunk_scope(workers):
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                chunks = pool.map(run_slice, slices)
-                return [outcome for chunk in chunks for outcome in chunk]
-
-
 def _fork_slice(fns, shared, lo, hi, conn) -> None:
     """Child side of one :class:`ProcessBackend` slice: run tasks
     ``lo..hi-1`` against the fork-time snapshot of the driver state and
@@ -234,21 +191,20 @@ def _fork_slice(fns, shared, lo, hi, conn) -> None:
 class ProcessBackend(ExecutorBackend):
     """Fork-per-stage multi-process backend: real multi-core execution.
 
-    Each stage forks one child per :func:`_even_slices` slice, the same
-    dispatch geometry as :class:`ThreadBackend`.  A child inherits the
-    task bodies, the shared counters and the trace session state at fork
-    time — they travel as process arguments, never through a module
-    global, so concurrent stages (a service running queries on several
-    dispatcher threads) cannot see each other's state.  Only the
-    :class:`~repro.exec.task.TaskOutcome` list crosses back, pickled over
-    a pipe; ``GeometryBatch`` results pickle as their six arrays.
+    Each stage forks one child per :func:`_even_slices` slice.  A child
+    inherits the task bodies, the shared counters and the trace session
+    state at fork time — they travel as process arguments, never through
+    a module global, so concurrent stages (a service running queries on
+    several dispatcher threads) cannot see each other's state.  Only the
+    :class:`~repro.exec.task.TaskOutcome` list crosses back, pickled
+    over a pipe; ``GeometryBatch`` results pickle as their six arrays.
 
     A child that dies without sending (a crash, ``os._exit``) makes the
     stage raise a :class:`RuntimeError`; every child is joined before the
     call returns, so nothing outlives the stage.  Where ``fork`` is
-    missing the backend degrades to :class:`ThreadBackend` semantics,
-    charging ``exec.backend_fallback`` once and recording a warning
-    surfaced on the run's ``RunReport``.
+    missing the backend runs the stage serially, charging
+    ``exec.backend_fallback`` once and recording a warning surfaced on
+    the run's ``RunReport``.
     """
 
     name = "process"
@@ -272,13 +228,13 @@ class ProcessBackend(ExecutorBackend):
             shared.add("exec.backend_fallback", 1)
             self.warnings = self.warnings + (
                 "process backend unavailable on this platform "
-                "(no fork start method); degraded to thread semantics",
+                "(no fork start method); degraded to serial",
             )
 
     def _execute(self, fns, shared):
-        if not self.available():  # pragma: no cover - non-POSIX fallback
+        if not self.available():
             self._note_fallback(shared)
-            return ThreadBackend(self.workers)._execute(fns, shared)
+            return self._serial(fns, shared)
         ctx = multiprocessing.get_context("fork")
         children = []
         try:
@@ -315,7 +271,6 @@ class ProcessBackend(ExecutorBackend):
 
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -327,14 +282,12 @@ def resolve_backend(
 
     *backend* is a name from :data:`BACKENDS`, an already-built backend
     (returned as-is), or None — meaning serial for ``workers <= 1`` and
-    the best available parallel backend (process, else thread) above.
+    process above.
     """
     if isinstance(backend, ExecutorBackend):
         return backend
     if backend is None:
-        if workers <= 1:
-            return SerialBackend()
-        backend = "process" if ProcessBackend.available() else "thread"
+        return SerialBackend() if workers <= 1 else ProcessBackend(workers)
     try:
         cls = BACKENDS[backend]
     except KeyError:

@@ -101,10 +101,10 @@ def run_task(index: int, fn: Callable[[], Any], shared: Counters) -> TaskOutcome
         with redirect_counters(shared, outcome.counters):
             if _trace.active():
                 # Detached: the span must not attach to whatever happens to
-                # be open in *this* thread (worker threads have no open
-                # spans; the serial backend would attach here but parallel
-                # ones could not) — merge_outcomes grafts it in task-index
-                # order instead, so the tree is backend-independent.
+                # be open in *this* thread (in a forked child that is a
+                # copy of the driver's stack, which never travels back) —
+                # merge_outcomes grafts it in task-index order instead, so
+                # the tree is backend-independent.
                 with _trace.span(
                     "task", kind="task", counters=shared, detach=True,
                     index=index,

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..cluster.costmodel import CostModel, CostParams
+from ..cluster.lsq import bounded_lstsq
 from ..cluster.simclock import SimClock
 from ..cluster.specs import PAPER_CONFIGS, ClusterConfig
 from .runner import DEFAULT_SEED, run_experiment
@@ -262,8 +263,6 @@ def fit_cost_constants(
     error — a 10% miss on a 100 s cell matters as much as on a 10,000 s
     cell.  Upper bounds keep every constant physically plausible.
     """
-    from scipy.optimize import lsq_linear
-
     obs = list(observations)
     if exclude_outliers:
         obs = [o for o in obs if o.key not in FIT_OUTLIERS]
@@ -274,8 +273,7 @@ def fit_cost_constants(
     b = np.array([(o.target - o.offset) / o.target for o in obs]) * weights
     names = CPU_FIT_KEYS + OVERHEAD_FIT_KEYS
     upper = np.array([FIT_UPPER_BOUNDS[n] for n in names])
-    result = lsq_linear(A, b, bounds=(0.0, upper))
-    return dict(zip(names, result.x))
+    return dict(zip(names, bounded_lstsq(A, b, upper)))
 
 
 def constants_to_params(fit: dict[str, float]) -> tuple[dict[str, float], CostParams]:

@@ -47,42 +47,6 @@ __all__ = [
 # cache-friendly territory.
 _FLAT_CHUNK = 1 << 16
 
-# Optional override installed by parallel_chunk_scope(): when several
-# worker threads run kernel slices concurrently, larger chunks keep each
-# thread inside NumPy's GIL-releasing inner loops for longer, so the
-# slices genuinely overlap instead of trading the GIL per tiny chunk.
-_PARALLEL_CHUNK = None
-
-
-def _effective_chunk() -> int:
-    chunk = _PARALLEL_CHUNK
-    return _FLAT_CHUNK if chunk is None else chunk
-
-
-class parallel_chunk_scope:
-    """Scale the kernel chunk size while a parallel stage is in flight.
-
-    Chunk size is *result-invariant* (property-tested: parity folds with
-    XOR, distances with min, across any chunking), so the module-global
-    override is a pure performance knob; a race between two scopes can
-    only pick a different-but-valid chunk size, never change results.
-    """
-
-    def __init__(self, workers: int):
-        self.chunk = min(_FLAT_CHUNK * max(1, int(workers)), 1 << 20)
-
-    def __enter__(self):
-        global _PARALLEL_CHUNK
-        self._prev = _PARALLEL_CHUNK
-        _PARALLEL_CHUNK = self.chunk
-        return self
-
-    def __exit__(self, *exc):
-        global _PARALLEL_CHUNK
-        _PARALLEL_CHUNK = self._prev
-        return False
-
-
 def _flat_chunks(flat_offsets: np.ndarray, seg_starts: np.ndarray, chunk: int):
     """Iterate the flattened (candidate x segment) axis in bounded chunks.
 
@@ -132,7 +96,7 @@ def _rings_parity_edge(
     pts_x = np.ascontiguousarray(pts[:, 0])
     pts_y = np.ascontiguousarray(pts[:, 1])
     for c0, c1, rel, seg_idx, bounds in _flat_chunks(
-        flat_offsets, seg_starts, _effective_chunk()
+        flat_offsets, seg_starts, _FLAT_CHUNK
     ):
         ax, ay = cx[seg_idx], cy[seg_idx]
         bx, by = cx[seg_idx + 1], cy[seg_idx + 1]
@@ -258,7 +222,7 @@ def points_within_polylines_csr(
     pts_y = np.ascontiguousarray(xy[:, 1])
     min_d2 = np.full(k, np.inf)
     for c0, c1, rel, seg_idx, bounds in _flat_chunks(
-        flat_offsets, seg_starts, _effective_chunk()
+        flat_offsets, seg_starts, _FLAT_CHUNK
     ):
         ax, ay = cx[seg_idx], cy[seg_idx]
         bx, by = cx[seg_idx + 1], cy[seg_idx + 1]

@@ -95,7 +95,7 @@ COUNTER_SCHEMA: dict[str, str] = {
     "plan.observations": "measured phase spans ingested by the calibrator",
     # -- execution backends (repro.exec health ledger) ---------------------
     "exec.backend_fallback": (
-        "requested process backend degraded to thread semantics "
+        "requested process backend degraded to serial execution "
         "(fork unavailable on this platform)"
     ),
 }

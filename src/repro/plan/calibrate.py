@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ..cluster.costmodel import DEFAULT_CPU_COSTS, CostModel, CostParams
+from ..cluster.lsq import bounded_lstsq
 from ..metrics import Counters
 
 __all__ = ["CalibrationObservation", "CalibrationProfile", "Calibrator"]
@@ -203,10 +204,10 @@ class Calibrator:
     ) -> CalibrationProfile:
         """Refit the constants; keep *base* unless the fit improves it.
 
-        Deterministic: bounded least squares on a fixed design matrix
-        (SciPy's ``lsq_linear`` when available, clipped ``numpy.lstsq``
-        otherwise), then keep-if-better against *base* on the mean
-        relative error — so repeated calibration never regresses.
+        Deterministic: non-negative least squares on a fixed design
+        matrix (:func:`~repro.cluster.lsq.bounded_lstsq`), then
+        keep-if-better against *base* on the mean relative error — so
+        repeated calibration never regresses.
         """
         if base is None:
             base = CalibrationProfile(
@@ -240,14 +241,7 @@ class Calibrator:
         fitted = [base.cpu_scale, base.mr_task_overhead_s,
                   base.spark_task_overhead_s]
         if active:
-            sub = a_mat[:, active]
-            try:
-                from scipy.optimize import lsq_linear
-
-                solution = lsq_linear(sub, b_vec, bounds=(0.0, np.inf)).x
-            except ImportError:  # pragma: no cover - scipy is baked in
-                solution, *_ = np.linalg.lstsq(sub, b_vec, rcond=None)
-                solution = np.clip(solution, 0.0, None)
+            solution = bounded_lstsq(a_mat[:, active], b_vec)
             for col, value in zip(active, solution):
                 fitted[col] = float(value)
         candidate = CalibrationProfile(

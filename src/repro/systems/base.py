@@ -95,10 +95,10 @@ class RunEnvironment:
         """Build an environment around one shared counters instance.
 
         *workers* / *backend* select the task execution backend: with the
-        defaults everything runs serially; ``workers>1`` picks a process
-        pool when the platform supports it (threads otherwise), and
-        *backend* forces ``"serial"`` / ``"thread"`` / ``"process"`` or
-        accepts a ready :class:`~repro.exec.ExecutorBackend`.  Results are
+        defaults everything runs serially; ``workers>1`` forks one process
+        per worker slice of each stage (serial where ``fork`` is missing),
+        and *backend* forces ``"serial"`` / ``"process"`` or accepts a
+        ready :class:`~repro.exec.ExecutorBackend`.  Results are
         bit-identical across backends by construction.
         """
         cluster = cluster or ws_config()
@@ -171,7 +171,7 @@ class RunReport:
     #: (pairs, counters, clock) is the original computation's.
     cache_hit: bool = False
     #: Execution-environment degradation notices (e.g. the process
-    #: backend falling back to threads because ``fork`` is unavailable).
+    #: backend running serially because ``fork`` is unavailable).
     #: Empty on a healthy run; never affects results, only wall-clock.
     warnings: tuple = ()
 
@@ -362,16 +362,6 @@ class SpatialJoinSystem(ABC):
         """The system's pipeline in the Fig.-1 framework terms."""
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
-    def _as_records(items: Sequence) -> list[SpatialRecord]:
-        out = []
-        for i, item in enumerate(items):
-            if isinstance(item, SpatialRecord):
-                out.append(item)
-            else:
-                out.append(SpatialRecord(i, item))
-        return out
-
     @staticmethod
     def _as_batch(items: "Sequence | GeometryBatch") -> GeometryBatch:
         """Coerce any accepted input into a batch with positional ids.

@@ -20,12 +20,12 @@ ledger that would have been written anyway — so result pairs and counter
 totals are bit-identical with tracing on or off, on every backend.  The
 wall-clock fields (``start``, ``seconds``, ``pid``, ``tid``) are the
 only nondeterministic state; :meth:`Span.fingerprint` excludes them, and
-the remainder of the tree is bit-identical across serial / thread /
-process execution.
+the remainder of the tree is bit-identical across serial and process
+execution.
 
 Activation is explicit and process-global: spans are recorded only
 inside a :meth:`Tracer.session` (forked workers inherit the activation
-flag; thread workers observe it directly).  Outside a session every
+flag).  Outside a session every
 :func:`span` entry is a cheap no-op.
 """
 

@@ -44,14 +44,14 @@ class TestSelfCheck:
 
 class TestCli:
     def test_exit_one_on_findings(self, violating_tree, capsys):
-        assert main([str(violating_tree), "--no-baseline", "--no-cache"]) == 1
+        assert main([str(violating_tree), "--no-baseline"]) == 1
         out = capsys.readouterr().out
         assert "CLK001" in out and "CTR001" in out
         assert "2 findings." in out
 
     def test_json_format(self, violating_tree, capsys):
         assert (
-            main([str(violating_tree), "--no-baseline", "--no-cache",
+            main([str(violating_tree), "--no-baseline",
                   "--format", "json"])
             == 1
         )
@@ -63,7 +63,7 @@ class TestCli:
 
     def test_github_format(self, violating_tree, capsys):
         assert (
-            main([str(violating_tree), "--no-baseline", "--no-cache",
+            main([str(violating_tree), "--no-baseline",
                   "--format", "github"])
             == 1
         )
@@ -77,7 +77,7 @@ class TestCli:
         # Clean tree: no workflow commands at all.
         (violating_tree / "mod.py").write_text("x = 1\n")
         assert (
-            main([str(violating_tree), "--no-baseline", "--no-cache",
+            main([str(violating_tree), "--no-baseline",
                   "--format", "github"])
             == 0
         )
@@ -86,7 +86,7 @@ class TestCli:
     def test_graph_dump(self, violating_tree, capsys):
         out_path = violating_tree / "graph.json"
         assert (
-            main([str(violating_tree), "--no-baseline", "--no-cache",
+            main([str(violating_tree), "--no-baseline",
                   "--graph-dump", str(out_path)])
             == 1
         )
@@ -96,11 +96,11 @@ class TestCli:
 
     def test_why_usage_error(self, violating_tree):
         with pytest.raises(SystemExit) as exc:
-            main([str(violating_tree), "--no-cache", "--why", "CLK001", "mod.py"])
+            main([str(violating_tree), "--why", "CLK001", "mod.py"])
         assert exc.value.code == 2
 
     def test_why_per_file_rule(self, violating_tree, capsys):
-        rc = main([str(violating_tree), "--no-baseline", "--no-cache",
+        rc = main([str(violating_tree), "--no-baseline",
                    "--why", "CLK001", "mod.py:3"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -123,6 +123,16 @@ class TestCli:
         (violating_tree / "mod.py").write_text("x = 1\n")
         assert main(["mod.py", "--baseline", str(baseline)]) == 1
         assert "stale baseline entry" in capsys.readouterr().out
+
+    def test_writes_no_file_it_was_not_asked_for(
+        self, violating_tree, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(violating_tree)
+        before = sorted(violating_tree.rglob("*"))
+        assert main(["mod.py"]) == 1
+        assert main(["."]) == 1
+        assert main(["mod.py", "--no-baseline", "--format", "json"]) == 1
+        assert sorted(violating_tree.rglob("*")) == before
 
     def test_select_and_ignore_flags(self, violating_tree):
         assert main([str(violating_tree), "--no-baseline", "--select", "CLK001"]) == 1

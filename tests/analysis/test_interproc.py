@@ -98,7 +98,7 @@ class TestWorkerPurity:
         root = write_tree(tmp_path, WRK_VIOLATION)
         for f in run(root, "WRK001"):
             rc = main([
-                str(root), "--no-baseline", "--no-cache", "--select", "WRK001",
+                str(root), "--no-baseline", "--select", "WRK001",
                 "--why", "WRK001", f"work.py:{f.line}",
             ])
             out = capsys.readouterr().out

@@ -102,7 +102,7 @@ def test_systems_object_vs_batch(system):
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("thread", 3), ("process", 3),
+    ("serial", 1), ("process", 3),
 ])
 def test_batch_inputs_deterministic_across_backends(backend, workers):
     lb = taxi_points_batch(500, seed=27)

@@ -21,7 +21,6 @@ from repro.exec import (
     BACKENDS,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     emit,
     merge_outcomes,
     resolve_backend,
@@ -32,8 +31,8 @@ from repro.metrics import Counters
 
 # process-2 runs two children per stage: the error test's failing task
 # (index 3 of 6) opens the second child's slice.
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(4), ProcessBackend(4), ProcessBackend(2)]
-BACKEND_IDS = ["serial", "thread", "process", "process-2"]
+ALL_BACKENDS = [SerialBackend(), ProcessBackend(4), ProcessBackend(2)]
+BACKEND_IDS = ["serial", "process", "process-2"]
 
 requires_fork = pytest.mark.skipif(
     not ProcessBackend.available(), reason="requires fork"
@@ -204,10 +203,11 @@ class TestBackendEquivalence:
         assert summary["task_seconds"] >= 0.0
 
 
+@requires_fork
 class TestNestedDispatch:
     def test_stage_inside_task_runs_inline(self):
         shared = Counters()
-        backend = ThreadBackend(4)
+        backend = ProcessBackend(2)
 
         def outer():
             inner = backend.run_tasks(
@@ -230,7 +230,7 @@ class TestResolveBackend:
 
     def test_workers_pick_parallel(self):
         backend = resolve_backend(None, 4)
-        assert backend.name in ("process", "thread")
+        assert backend.name == "process"
         assert backend.workers == 4
 
     def test_explicit_names(self):
@@ -238,7 +238,7 @@ class TestResolveBackend:
             assert resolve_backend(name, 2).name == name
 
     def test_instance_passthrough(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
@@ -304,21 +304,22 @@ class TestProcessWorkers:
 
 
 class TestFallback:
-    def test_no_fork_degrades_to_threads_loudly(self, monkeypatch):
+    def test_no_fork_degrades_to_serial_loudly(self, monkeypatch):
         monkeypatch.setattr(
             ProcessBackend, "available", staticmethod(lambda: False)
         )
+        left, right = taxi_points(200, seed=31), census_blocks(30, seed=32)
+        serial = spatial_join(left, right, system="SpatialHadoop")
         report = spatial_join(
-            taxi_points(200, seed=31),
-            census_blocks(30, seed=32),
-            system="SpatialHadoop",
-            workers=3,
-            backend="process",
+            left, right, system="SpatialHadoop", workers=3, backend="process"
         )
         assert report.ok
-        assert report.counters.get("exec.backend_fallback") == 1.0
-        assert report.warnings
-        assert any("fallback" in w or "thread" in w for w in report.warnings)
+        assert report.pairs == serial.pairs
+        ledger = dict(report.counters)
+        assert ledger.pop("exec.backend_fallback") == 1.0
+        assert ledger == dict(serial.counters)
+        assert len(report.warnings) == 1
+        assert "degraded to serial" in report.warnings[0]
 
     def test_fallback_charged_once_per_backend(self, monkeypatch):
         monkeypatch.setattr(

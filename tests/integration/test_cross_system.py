@@ -164,7 +164,7 @@ class TestCostedReports:
         assert geos == pytest.approx(4 * jts)
 
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def report_fingerprint(report):
@@ -203,7 +203,6 @@ class TestBackendDeterminism:
             )
             for backend in BACKENDS
         }
-        assert fingerprints["thread"] == fingerprints["serial"]
         assert fingerprints["process"] == fingerprints["serial"]
 
     def test_oom_failure_identical_across_backends(self):
@@ -219,7 +218,7 @@ class TestBackendDeterminism:
             for backend in BACKENDS
         ]
         assert fingerprints[0][1] == "oom"
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
     def test_broken_pipe_failure_identical_across_backends(self):
         from repro.experiments import run_experiment
@@ -234,7 +233,7 @@ class TestBackendDeterminism:
             for backend in BACKENDS
         ]
         assert fingerprints[0][1] == "broken_pipe"
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
     def test_direct_run_identical_and_profiled(self):
         pts = taxi_points(400, seed=19)
@@ -246,9 +245,8 @@ class TestBackendDeterminism:
             )
             reports[backend] = SpatialHadoop().run(env, pts, blocks)
         base = report_fingerprint(reports["serial"])
-        for backend in ("thread", "process"):
-            assert report_fingerprint(reports[backend]) == base
-            exec_profile = reports[backend].engine_profile["exec"]
-            assert exec_profile["backend"] == backend
-            assert exec_profile["tasks"] > 0
-            assert exec_profile["task_seconds"] > 0.0
+        assert report_fingerprint(reports["process"]) == base
+        exec_profile = reports["process"].engine_profile["exec"]
+        assert exec_profile["backend"] == "process"
+        assert exec_profile["tasks"] > 0
+        assert exec_profile["task_seconds"] > 0.0

@@ -35,7 +35,7 @@ def test_observed_keys_are_subset_of_schema(system_name):
         assert set(phase.counters) <= set(COUNTER_SCHEMA), phase.name
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_parallel_backends_stay_inside_schema(backend):
     env = RunEnvironment.create(block_size=1 << 14, backend=backend, workers=2)
     report = make_system("SpatialSpark").run(

@@ -47,16 +47,15 @@ class TestParser:
             ["run", "taxi-nycb", "SpatialSpark", "--workers", "4"]
         )
         assert args.workers == 4 and args.backend is None
-        args = parser.parse_args(["table2", "--workers", "2", "--backend", "thread"])
-        assert args.workers == 2 and args.backend == "thread"
+        args = parser.parse_args(["table2", "--workers", "2", "--backend", "process"])
+        assert args.workers == 2 and args.backend == "process"
         args = parser.parse_args(["table3"])
         assert args.workers == 1
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "taxi-nycb", "SpatialSpark", "--backend", "mpi"]
-            )
+        for name in ("mpi", "thread"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["table2", "--backend", name])
 
 
 class TestCommands:

@@ -2,7 +2,7 @@
 
 Everything in a trace except the wall-clock fields — structure, names,
 kinds, attributes, counter deltas — must be bit-identical across the
-serial / thread / process backends and across repeated same-seed runs,
+serial and process backends and across repeated same-seed runs,
 for all three systems.  :meth:`Span.fingerprint` is exactly that view of
 the tree, so these tests compare fingerprints directly.
 """
@@ -14,7 +14,6 @@ from repro.data.synthetic import census_blocks, taxi_points
 from repro.trace.core import TIMING_FIELDS
 
 SYSTEMS = ("HadoopGIS", "SpatialHadoop", "SpatialSpark")
-PARALLEL_BACKENDS = ("thread", "process")
 
 
 def run_traced(system, backend="serial"):
@@ -35,13 +34,12 @@ class TestGoldenDeterminism:
     def test_backends_agree_bit_for_bit(self, system):
         serial = run_traced(system)
         assert serial.trace is not None
-        for backend in PARALLEL_BACKENDS:
-            parallel = run_traced(system, backend)
-            assert parallel.trace.fingerprint() == serial.trace.fingerprint(), (
-                f"{system}: {backend} trace diverged from serial"
-            )
-            assert parallel.pairs == serial.pairs
-            assert dict(parallel.counters) == dict(serial.counters)
+        parallel = run_traced(system, "process")
+        assert parallel.trace.fingerprint() == serial.trace.fingerprint(), (
+            f"{system}: process trace diverged from serial"
+        )
+        assert parallel.pairs == serial.pairs
+        assert dict(parallel.counters) == dict(serial.counters)
 
     def test_repeated_runs_agree(self, system):
         first = run_traced(system)

@@ -15,7 +15,7 @@ recorded tree must satisfy:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import SerialBackend, ThreadBackend, merge_outcomes
+from repro.exec import SerialBackend, merge_outcomes
 from repro.metrics import Counters
 from repro.trace import Tracer, span
 
@@ -28,10 +28,6 @@ programs = st.recursive(
     lambda sub: st.tuples(charges, st.lists(sub, max_size=3)),
     max_leaves=10,
 )
-
-#: Shared pools so hypothesis examples don't rebuild thread pools.
-THREAD_BACKEND = ThreadBackend(3)
-SERIAL_BACKEND = SerialBackend()
 
 
 def record(program, counters):
@@ -121,39 +117,39 @@ class TestRandomPrograms:
 class TestExecutorTaskSpans:
     @given(st.lists(charges, min_size=1, max_size=6))
     @settings(deadline=None, max_examples=20)
-    def test_task_spans_conserve_on_serial_and_thread(self, task_charges):
-        for backend in (SERIAL_BACKEND, THREAD_BACKEND):
-            shared = Counters()
+    def test_task_spans_conserve_on_serial(self, task_charges):
+        backend = SerialBackend()
+        shared = Counters()
 
-            def make(spec):
-                def body():
-                    for key, amount in spec.items():
-                        shared.add(key, amount)  # repro: noqa[CTR001]
+        def make(spec):
+            def body():
+                for key, amount in spec.items():
+                    shared.add(key, amount)  # repro: noqa[CTR001]
 
-                return body
+            return body
 
-            tracer = Tracer()
-            with tracer.session("root", counters=shared):
-                with span("stage", kind="phase", counters=shared):
-                    outcomes = backend.run_tasks(
-                        "stage", [make(spec) for spec in task_charges], shared
-                    )
-                    merge_outcomes(outcomes, shared)
-            phase = tracer.root.children[0]
-            # Grafted in task-index order regardless of interleaving.
-            assert [c.attrs["index"] for c in phase.children] == list(
-                range(len(task_charges))
-            )
-            for child, spec in zip(phase.children, task_charges):
-                assert dict(child.counters) == {
-                    k: float(v) for k, v in spec.items()
-                }
-            # All the phase's work happened inside tasks: nothing exclusive.
-            assert dict(phase.self_counters()) == {}
-            expected_total = {}
-            for spec in task_charges:
-                for key, value in spec.items():
-                    expected_total[key] = expected_total.get(key, 0.0) + value
-            assert dict(phase.counters) == expected_total
-            assert dict(shared) == expected_total
-            assert_intervals_wellformed(tracer.root)
+        tracer = Tracer()
+        with tracer.session("root", counters=shared):
+            with span("stage", kind="phase", counters=shared):
+                outcomes = backend.run_tasks(
+                    "stage", [make(spec) for spec in task_charges], shared
+                )
+                merge_outcomes(outcomes, shared)
+        phase = tracer.root.children[0]
+        # Grafted in task-index order.
+        assert [c.attrs["index"] for c in phase.children] == list(
+            range(len(task_charges))
+        )
+        for child, spec in zip(phase.children, task_charges):
+            assert dict(child.counters) == {
+                k: float(v) for k, v in spec.items()
+            }
+        # All the phase's work happened inside tasks: nothing exclusive.
+        assert dict(phase.self_counters()) == {}
+        expected_total = {}
+        for spec in task_charges:
+            for key, value in spec.items():
+                expected_total[key] = expected_total.get(key, 0.0) + value
+        assert dict(phase.counters) == expected_total
+        assert dict(shared) == expected_total
+        assert_intervals_wellformed(tracer.root)

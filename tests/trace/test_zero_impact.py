@@ -33,7 +33,7 @@ def run(system, system_kwargs, *, trace, backend="serial"):
         census_blocks(40, seed=22),
         system=system,
         cluster="WS",
-        workers=1 if backend == "serial" else 3,
+        workers=1 if backend == "serial" else 2,
         backend=backend,
         seed=5,
         system_kwargs=system_kwargs,
@@ -56,8 +56,8 @@ class TestZeroImpact:
 
     def test_results_identical_on_parallel_backend(self, case):
         system, kwargs = case
-        untraced = run(system, kwargs, trace=False, backend="thread")
-        traced = run(system, kwargs, trace=True, backend="thread")
+        untraced = run(system, kwargs, trace=False, backend="process")
+        traced = run(system, kwargs, trace=True, backend="process")
         assert traced.pairs == untraced.pairs
         assert dict(traced.counters) == dict(untraced.counters)
 
