@@ -21,6 +21,16 @@ def estimate_size(obj: Any) -> int:
     use their WKT-like estimate; containers sum their elements plus field
     separators.  Unknown objects fall back to ``len(str(obj))``.
     """
+    # Exact-type fast paths for the common records (text lines, numbers,
+    # key/value tuples); subclasses such as bool fall through to the
+    # general chain below.
+    kind = type(obj)
+    if kind is str:
+        return len(obj) + 1
+    if kind is int or kind is float:
+        return _NUMERIC_SIZE
+    if kind is tuple or kind is list:
+        return sum(map(estimate_size, obj)) + len(obj)
     if obj is None:
         return 1
     if isinstance(obj, str):

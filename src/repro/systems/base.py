@@ -20,7 +20,7 @@ from ..cluster.simclock import SimClock
 from ..cluster.specs import ClusterConfig, ws_config
 from ..core.framework import StageTrace
 from ..core.predicate import INTERSECTS, JoinPredicate
-from ..data.loaders import SpatialRecord, encode_batch, encode_dataset
+from ..data.loaders import SpatialRecord, encode_batch, encode_dataset, from_tsv_line
 from ..exec.backend import ExecutorBackend, resolve_backend
 from ..geometry.batch import GeometryBatch
 from ..geometry.primitives import Geometry
@@ -79,6 +79,9 @@ class RunEnvironment:
     #: task execution backend every substrate in this environment runs
     #: task attempts on; serial by default so behaviour is unchanged.
     executor: ExecutorBackend = field(default_factory=lambda: resolve_backend())
+    #: per-run decode memo, TSV line text -> parsed record (see
+    #: :meth:`decode_line`).  Forked workers fill their own copies.
+    decoded: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -140,6 +143,20 @@ class RunEnvironment:
         # Roll back the upload charges: staging is not part of the run.
         for key, value in self.counters.diff(before).items():
             self.counters[key] -= value
+
+    def decode_line(self, line: str) -> SpatialRecord:
+        """``from_tsv_line(line)``, decoded at most once per run.
+
+        HadoopGIS re-parses every record at each streaming hop; the
+        modelled cost of that is charged by its explicit ``parse_charge``
+        calls, so the wall clock need not pay it again.  The memo is exact
+        because the decode is a pure function of the line's text; it only
+        saves time and never changes a result or a counter.
+        """
+        rec = self.decoded.get(line)
+        if rec is None:
+            rec = self.decoded[line] = from_tsv_line(line)
+        return rec
 
     @property
     def pipe_capacity(self) -> float:

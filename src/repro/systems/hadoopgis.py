@@ -39,7 +39,7 @@ from ..core.framework import (
 from ..core.localjoin import LOCAL_JOIN_ALGORITHMS, local_join, refine_candidates
 from ..core.partitioning import GridPartitioner, SpatialPartitioning, make_partitioner
 from ..core.predicate import INTERSECTS, JoinPredicate
-from ..data.loaders import from_tsv_line, to_tsv_line
+from ..data.loaders import to_tsv_line
 from ..geometry.engine import GEOS_COST_PROFILE, make_engine
 from ..geometry.mbr import MBR, MBRArray
 from ..index.rtree import RTree
@@ -180,12 +180,15 @@ class HadoopGIS(SpatialJoinSystem):
     ) -> None:
         """Steps 1-6 of HadoopGIS preprocessing for one dataset."""
         counters, hdfs = env.counters, env.hdfs
+        # Each hop still charges its parse; the wall clock decodes each
+        # distinct line once per run (RunEnvironment.decode_line).
+        decode = env.decode_line
         hook = lambda job: make_streaming_hook(counters, policy, job)  # noqa: E731
 
         # Step 1: map-only conversion to the internal TSV format.
         def convert_map(data):
             for line in data.records:
-                rec = from_tsv_line(line)
+                rec = decode(line)
                 parse_charge(counters, 1, len(line))
                 out = to_tsv_line(rec)
                 serialize_charge(counters, 1, len(out))
@@ -212,7 +215,7 @@ class HadoopGIS(SpatialJoinSystem):
             for line, k in zip(data.records, keep):
                 if k:
                     parse_charge(counters, 1, len(line))
-                    m = from_tsv_line(line).geometry.mbr
+                    m = decode(line).geometry.mbr
                     yield f"{m.xmin},{m.ymin},{m.xmax},{m.ymax}"
 
         MapReduceJob(
@@ -306,7 +309,7 @@ class HadoopGIS(SpatialJoinSystem):
                 tree.insert(MBR(*vals), pid)
             for line in data.records:
                 parse_charge(counters, 1, len(line))
-                rec = from_tsv_line(line)
+                rec = decode(line)
                 hits = tree.query(rec.geometry.mbr)
                 if hits.size == 0:
                     hits = [0]
@@ -466,6 +469,7 @@ class HadoopGIS(SpatialJoinSystem):
         per side (*policy* carries byte_scale=1).
         """
         counters, hdfs = env.counters, env.hdfs
+        decode = env.decode_line
         results: set[tuple[int, int]] = set()
 
         scale_of = {"A": env.scale_a[1], "B": env.scale_b[1]}
@@ -482,7 +486,7 @@ class HadoopGIS(SpatialJoinSystem):
             for line in data.records:
                 parse_charge(counters, 1, len(line))
                 logical_volume += (len(line) + 1) * scale_of[side]
-                rec = from_tsv_line(line)
+                rec = decode(line)
                 if keep_masks is not None and not keep_masks[side][rec.rid]:
                     # sFilter prune: never serialized, never shuffled —
                     # the record's would-be shuffle bytes are credited to
@@ -513,7 +517,7 @@ class HadoopGIS(SpatialJoinSystem):
                 side, _, line = value.partition("\t")
                 parse_charge(counters, 1, len(value))
                 logical_volume += (len(value) + 1) * scale_of[side]
-                rec = from_tsv_line(line)
+                rec = decode(line)
                 (a_recs if side == "A" else b_recs).append(rec)
             policy.check("hgis.join", "reduce", logical_volume)
             if not a_recs or not b_recs:
